@@ -1,9 +1,34 @@
-"""End-to-end PMTiles archive rewrite on the REFERENCE's real fixture
-archive (/root/reference/tests/fixtures/input.pmtiles — used as input
-DATA only). Mirrors the reference integration test
-(tests/integration_test.rs:63-137): run the full pipeline with a filter
-collection of the same shape, then verify golden properties by decoding
-the output tiles."""
+"""End-to-end PMTiles archive rewrite. Mirrors the reference integration
+test (tests/integration_test.rs:63-137): run the full pipeline with a
+filter collection of the same shape, then verify golden properties by
+decoding the output tiles.
+
+Input archive (the session fixture `input_archive`): the reference
+repository's own fixture, `tests/fixtures/input.pmtiles` at `FIXTURE`,
+wherever that file exists (used as input DATA only); otherwise the
+archive `mvt_wrangler_ray.sources.fixture_archive.write_fixture_archive`
+builds, once per session, with our own MVT encoder and PMTiles writer.
+
+The expected numbers hold for both archives because the generated one
+has the reference fixture's documented shape (FIXTURES.md §2): every
+tile covering the bounds [130.348, 30.210, 130.706, 30.494] at z9–z15
+(1 + 4 + 9 + 25 + 81 + 272 + 1,054 = 1,446 by the Web-Mercator tile
+cover), gzip MVT, the nine basemap layers, `name` / `name:xx` /
+`pgf:name:xx` tags, pois on every land tile (including those inside the
+Anbo box), and Planetiler metadata with `planetiler:buildtime`.
+`test_generated_archive_is_real_input` keeps the stand-in honest:
+deterministic, with runs, shared contents and leaf directories.
+
+What the stand-in does not check: reading a directory layout and tile
+bytes that another tool wrote. On it, the guards that the input is not
+vacuous (a dropped `name:xx` key exists, pois lie inside the Anbo box,
+`planetiler:buildtime` is in the metadata) hold by construction. The
+codec parity of `test_identity_pass_roundtrip` (geometry commands out ==
+geometry commands in) is only meaningful on bytes another encoder wrote,
+so that test reads the reference fixture alone and is skipped without
+it; `test_identity_pass_on_generated_archive` runs the same body on the
+stand-in as a pipeline check, and `tests/test_mvt_codec.py` checks the
+codec against the MVT spec's examples and the protobuf runtime."""
 
 import gzip
 import os
@@ -13,11 +38,10 @@ import pytest
 
 from mvt_wrangler_ray.config import EngineConfig
 from mvt_wrangler_ray.sources import mvt
-from mvt_wrangler_ray.sources.pmtiles import PmTilesReader
+from mvt_wrangler_ray.sources.fixture_archive import write_fixture_archive
+from mvt_wrangler_ray.sources.pmtiles import PmTilesReader, PmTilesWriter
 
 FIXTURE = "/root/reference/tests/fixtures/input.pmtiles"
-OUT = "/tmp/mwr_out.pmtiles"
-OUT_ID = "/tmp/mwr_identity.pmtiles"
 
 # Anbo-area polygon (own coordinates, same semantics as the reference
 # fixture's filter 1) + the global name:* language filter (filter 3 shape)
@@ -61,21 +85,56 @@ def _tags_of(layer, feat):
             for i in range(0, len(t) - 1, 2)}
 
 
+@pytest.fixture(scope="session")
+def generated_archive(tmp_path_factory):
+    return write_fixture_archive(
+        str(tmp_path_factory.mktemp("fixture") / "input.pmtiles"))
+
+
+@pytest.fixture(scope="session")
+def input_archive(request):
+    """The reference fixture where it exists, else the generated one."""
+    if os.path.exists(FIXTURE):
+        return FIXTURE
+    return request.getfixturevalue("generated_archive")
+
+
 @pytest.fixture(scope="module")
-def wrangled(ray_session):
+def wrangled_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("wrangled") / "out.pmtiles")
+
+
+@pytest.fixture(scope="module")
+def wrangled(ray_session, input_archive, wrangled_path):
     from mvt_wrangler_ray.pipelines.archive import wrangle_pmtiles
-    for p in (OUT,):
-        if os.path.exists(p):
-            os.remove(p)
     cfg = EngineConfig(name="wrangled", description="test run",
                        attribution="mvt_wrangler_ray")
-    summary = wrangle_pmtiles(FIXTURE, OUT, FILTERS, cfg)
+    summary = wrangle_pmtiles(input_archive, wrangled_path, FILTERS, cfg)
     return summary
 
 
-def test_output_structure(wrangled):
+def test_generated_archive_is_real_input(generated_archive, tmp_path):
+    """The stand-in for the reference fixture must stay real input:
+    byte-identical across builds, the documented tile cover, and the
+    run-length entries, shared contents and leaf directories a real
+    archive has."""
+    again = write_fixture_archive(str(tmp_path / "again.pmtiles"))
+    with open(generated_archive, "rb") as a, open(again, "rb") as b:
+        assert a.read() == b.read()
+    r = PmTilesReader(generated_archive)
+    h = r.header
+    r.close()
+    assert h.addressed_tiles == 1446
+    assert (h.min_zoom, h.max_zoom) == (9, 15)
+    assert h.tile_entries < h.addressed_tiles
+    assert h.tile_contents < h.tile_entries
+    assert h.tile_entries > PmTilesWriter.MAX_ROOT_ENTRIES
+    assert h.leaf_length > 0
+
+
+def test_output_structure(wrangled, wrangled_path):
     assert wrangled["tiles_written"] == 1446
-    r = PmTilesReader(OUT)
+    r = PmTilesReader(wrangled_path)
     assert r.header.addressed_tiles == 1446
     assert r.header.min_zoom == 9 and r.header.max_zoom == 15
     assert r.header.tile_compression == 2
@@ -90,8 +149,8 @@ def test_output_structure(wrangled):
     r.close()
 
 
-def test_no_filtered_name_tags_survive(wrangled):
-    tiles = _decode_all(OUT)
+def test_no_filtered_name_tags_survive(wrangled, wrangled_path, input_archive):
+    tiles = _decode_all(wrangled_path)
     seen_name_keys = set()
     for t in tiles.values():
         for layer in t["layers"]:
@@ -105,7 +164,7 @@ def test_no_filtered_name_tags_survive(wrangled):
         if k.startswith("name:"):
             assert k.split(":", 1)[1] in ("", "ja", "en", "2"), k
     # input DID contain dropped keys (e.g. name:fr)
-    in_tiles = _decode_all(FIXTURE)
+    in_tiles = _decode_all(input_archive)
     in_keys = set()
     for t in in_tiles.values():
         for layer in t["layers"]:
@@ -115,13 +174,13 @@ def test_no_filtered_name_tags_survive(wrangled):
                ("", "ja", "en", "2") for k in in_keys)
 
 
-def test_pois_dropped_inside_mask(wrangled):
+def test_pois_dropped_inside_mask(wrangled, wrangled_path, input_archive):
     from mvt_wrangler_ray.filters import CompiledFilterCollection
     from mvt_wrangler_ray.geo.tilemath import tile_bounds, tile_id_to_zxy
 
     fc = CompiledFilterCollection.from_geojson(FILTERS)
-    in_tiles = _decode_all(FIXTURE)
-    out_tiles = _decode_all(OUT)
+    in_tiles = _decode_all(input_archive)
+    out_tiles = _decode_all(wrangled_path)
     dropped_somewhere = False
     for tid, t_in in in_tiles.items():
         z, x, y = tile_id_to_zxy(np.array([tid]))
@@ -146,17 +205,13 @@ def test_pois_dropped_inside_mask(wrangled):
     assert dropped_somewhere
 
 
-def test_identity_pass_roundtrip(ray_session):
-    """No-filter normalization pass (lib.rs §3.2): every feature and tag
-    set survives; geometry bytes round-trip through decode/encode."""
+def _check_identity_pass(src, out_id):
     from mvt_wrangler_ray.pipelines.archive import wrangle_pmtiles
 
-    if os.path.exists(OUT_ID):
-        os.remove(OUT_ID)
-    summary = wrangle_pmtiles(FIXTURE, OUT_ID, None, EngineConfig())
+    summary = wrangle_pmtiles(src, out_id, None, EngineConfig())
     assert summary["tiles_written"] == 1446
-    in_tiles = _decode_all(FIXTURE)
-    out_tiles = _decode_all(OUT_ID)
+    in_tiles = _decode_all(src)
+    out_tiles = _decode_all(out_id)
     assert set(in_tiles) == set(out_tiles)
     checked = 0
     for tid in list(in_tiles)[:120]:
@@ -173,14 +228,34 @@ def test_identity_pass_roundtrip(ray_session):
     assert checked > 500
 
 
-def test_read_pmtiles_features_flatten(ray_session):
+@pytest.mark.skipif(not os.path.exists(FIXTURE),
+                    reason=f"reference fixture {FIXTURE} is absent")
+def test_identity_pass_roundtrip(ray_session, tmp_path):
+    """No-filter normalization pass (lib.rs §3.2): every feature and tag
+    set survives; geometry bytes round-trip through decode/encode.
+
+    Reads the reference fixture only: its tiles were encoded by another
+    tool, so equal geometry commands show codec parity with it."""
+    _check_identity_pass(FIXTURE, str(tmp_path / "identity.pmtiles"))
+
+
+def test_identity_pass_on_generated_archive(ray_session, generated_archive,
+                                            tmp_path):
+    """The no-filter pass on the stand-in keeps every tile, layer,
+    extent, feature, tag set and geometry type. Its geometry commands
+    were written by our own encoder, so their equality is no codec
+    parity check here (see tests/test_mvt_codec.py for that)."""
+    _check_identity_pass(generated_archive, str(tmp_path / "identity.pmtiles"))
+
+
+def test_read_pmtiles_features_flatten(ray_session, input_archive):
     """M2 explode mapping: archive → feature-level Dataset, row counts
     match the per-tile feature totals."""
     from mvt_wrangler_ray.pipelines.archive import read_pmtiles_features
 
-    ds = read_pmtiles_features(FIXTURE)
+    ds = read_pmtiles_features(input_archive)
     df = ds.to_pandas()
-    in_tiles = _decode_all(FIXTURE)
+    in_tiles = _decode_all(input_archive)
     want = sum(len(l["features"]) for t in in_tiles.values() for l in t["layers"])
     assert len(df) == want
     observed = set(df["layer"].unique())
@@ -194,7 +269,7 @@ def test_read_pmtiles_features_flatten(ray_session):
     assert any(k == "name" or k.startswith("name") for k in keys)
 
 
-def test_cli_end_to_end(ray_session, tmp_path):
+def test_cli_end_to_end(ray_session, input_archive, tmp_path):
     """python -m mvt_wrangler_ray parity: runs in-process (Ray already
     initialized by the session fixture; the CLI guards its init)."""
     import json as _json
@@ -204,7 +279,7 @@ def test_cli_end_to_end(ray_session, tmp_path):
     fpath = tmp_path / "filter.geojson"
     fpath.write_text(_json.dumps(FILTERS))
     out = tmp_path / "cli_out.pmtiles"
-    rc = main([FIXTURE, str(out), "--filter", str(fpath), "--name", "cli-run"])
+    rc = main([input_archive, str(out), "--filter", str(fpath), "--name", "cli-run"])
     assert rc == 0
     r = PmTilesReader(str(out))
     assert r.header.addressed_tiles == 1446
@@ -212,10 +287,11 @@ def test_cli_end_to_end(ray_session, tmp_path):
     r.close()
 
 
-def test_filtered_tiles_match_independent_recomputation(wrangled):
+def test_filtered_tiles_match_independent_recomputation(wrangled, wrangled_path,
+                                                        input_archive):
     """Cross-check the optimized _transform_tile (bulk paths, coverage
     detection, key-only caches) against a direct, unoptimized per-feature
-    re-derivation of the semantics on a sample of real fixture tiles."""
+    re-derivation of the semantics on a sample of the input archive's tiles."""
     import numpy as np
 
     from mvt_wrangler_ray.expr.rowexec import EvaluationContext
@@ -234,8 +310,8 @@ def test_filtered_tiles_match_independent_recomputation(wrangled):
     from mvt_wrangler_ray.sources import mvt as mvtc
 
     fc = CompiledFilterCollection.from_geojson(FILTERS)
-    in_tiles = _decode_all(FIXTURE)
-    out_tiles = _decode_all(OUT)
+    in_tiles = _decode_all(input_archive)
+    out_tiles = _decode_all(wrangled_path)
     rng = np.random.default_rng(77)
     sample = rng.choice(sorted(in_tiles), 40, replace=False)
     checked_feats = 0

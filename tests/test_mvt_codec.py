@@ -283,3 +283,129 @@ def test_get_by_id_binary_search_matches_scan(tmp_path):
         want = scan.get(t)
         assert r.get_by_id(t) == want, t
     r.close()
+
+
+# ---- parity with encodings written outside this codec -----------------
+
+# MVT 2.1 §4.3.5 example geometries: (type, command stream, paths)
+_SPEC_GEOMETRIES = [
+    (mvt.GEOM_POINT, [9, 50, 34], [[(25, 17)]]),
+    (mvt.GEOM_POINT, [17, 10, 14, 3, 9], [[(5, 7)], [(3, 2)]]),
+    (mvt.GEOM_LINESTRING, [9, 4, 4, 18, 0, 16, 16, 0],
+     [[(2, 2), (2, 10), (10, 10)]]),
+    (mvt.GEOM_LINESTRING, [9, 4, 4, 18, 0, 16, 16, 0, 9, 17, 17, 10, 4, 8],
+     [[(2, 2), (2, 10), (10, 10)], [(1, 1), (3, 5)]]),
+    (mvt.GEOM_POLYGON, [9, 6, 12, 18, 10, 12, 24, 44, 15],
+     [[(3, 6), (8, 12), (20, 34), (3, 6)]]),
+    (mvt.GEOM_POLYGON,
+     [9, 0, 0, 26, 20, 0, 0, 20, 19, 0, 15, 9, 22, 2, 26, 18, 0, 0, 18, 17,
+      0, 15, 9, 4, 13, 26, 0, 8, 8, 0, 0, 7, 15],
+     [[(0, 0), (10, 0), (10, 10), (0, 10), (0, 0)],
+      [(11, 11), (20, 11), (20, 20), (11, 20), (11, 11)],
+      [(13, 13), (13, 17), (17, 17), (17, 13), (13, 13)]]),
+]
+
+
+@pytest.mark.parametrize("gtype,commands,paths", _SPEC_GEOMETRIES)
+def test_geometry_matches_spec_examples(gtype, commands, paths):
+    """Decode the spec's own command streams, and encode back to them."""
+    assert mvt.decode_geometry(commands) == paths
+    assert mvt.encode_geometry(paths, gtype) == commands
+
+
+def _protobuf_tile_class():
+    """vector_tile.proto (MVT 2.1) as a protobuf runtime message class."""
+    from google.protobuf import descriptor_pb2, descriptor_pool, message_factory
+
+    F = descriptor_pb2.FieldDescriptorProto
+    opt, rep, req = F.LABEL_OPTIONAL, F.LABEL_REPEATED, F.LABEL_REQUIRED
+
+    def message(name, fields):
+        m = descriptor_pb2.DescriptorProto(name=name)
+        for fname, number, label, ftype, type_name, packed in fields:
+            f = m.field.add(name=fname, number=number, label=label, type=ftype)
+            if type_name:
+                f.type_name = type_name
+            if packed:
+                f.options.packed = True
+        return m
+
+    fdp = descriptor_pb2.FileDescriptorProto(
+        name="mvt_codec_test_vector_tile.proto",
+        package="mvt_codec_test", syntax="proto2")
+    tile = message("Tile", [("layers", 3, rep, F.TYPE_MESSAGE,
+                             ".mvt_codec_test.Tile.Layer", False)])
+    tile.nested_type.extend([
+        message("Value", [
+            ("string_value", 1, opt, F.TYPE_STRING, None, False),
+            ("float_value", 2, opt, F.TYPE_FLOAT, None, False),
+            ("double_value", 3, opt, F.TYPE_DOUBLE, None, False),
+            ("int_value", 4, opt, F.TYPE_INT64, None, False),
+            ("uint_value", 5, opt, F.TYPE_UINT64, None, False),
+            ("sint_value", 6, opt, F.TYPE_SINT64, None, False),
+            ("bool_value", 7, opt, F.TYPE_BOOL, None, False)]),
+        message("Feature", [
+            ("id", 1, opt, F.TYPE_UINT64, None, False),
+            ("tags", 2, rep, F.TYPE_UINT32, None, True),
+            ("type", 3, opt, F.TYPE_UINT32, None, False),
+            ("geometry", 4, rep, F.TYPE_UINT32, None, True)]),
+        message("Layer", [
+            ("version", 15, req, F.TYPE_UINT32, None, False),
+            ("name", 1, req, F.TYPE_STRING, None, False),
+            ("features", 2, rep, F.TYPE_MESSAGE,
+             ".mvt_codec_test.Tile.Feature", False),
+            ("keys", 3, rep, F.TYPE_STRING, None, False),
+            ("values", 4, rep, F.TYPE_MESSAGE,
+             ".mvt_codec_test.Tile.Value", False),
+            ("extent", 5, opt, F.TYPE_UINT32, None, False)]),
+    ])
+    fdp.message_type.append(tile)
+    pool = descriptor_pool.DescriptorPool()
+    pool.Add(fdp)
+    return message_factory.GetMessageClass(
+        pool.FindMessageTypeByName("mvt_codec_test.Tile"))
+
+
+def test_tile_codec_matches_protobuf_runtime():
+    """A tile serialized by the protobuf runtime decodes to what it holds,
+    and our encoding of the decoded tile parses back to the same message."""
+    pytest.importorskip("google.protobuf")
+    Tile = _protobuf_tile_class()
+    msg = Tile()
+    layer = msg.layers.add(version=2, name="pois", extent=8192)
+    layer.keys.extend(["name", "name:fr", "height", "area", "pop", "big",
+                       "layer", "oneway"])
+    for kw in ({"string_value": "屋久島"}, {"string_value": "Yakushima"},
+               {"float_value": 0.1}, {"double_value": 2.5},
+               {"int_value": 1200}, {"uint_value": (1 << 63) + 7},
+               {"sint_value": -1}, {"bool_value": True}):
+        layer.values.add(**kw)
+    for gtype, commands, _ in _SPEC_GEOMETRIES:
+        layer.features.add(id=len(layer.features) + 1,
+                           tags=[0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7],
+                           type=gtype, geometry=commands)
+    layer.features.add(type=mvt.GEOM_POINT, geometry=[9, 50, 34])  # no id/tags
+    blob = msg.SerializeToString()
+
+    got = mvt.decode_tile(blob)
+    assert len(got["layers"]) == 1
+    gl = got["layers"][0]
+    assert (gl["name"], gl["version"], gl["extent"]) == ("pois", 2, 8192)
+    assert gl["keys"] == list(layer.keys)
+    assert gl["values"][:2] == ["屋久島", "Yakushima"]
+    assert isinstance(gl["values"][2], np.float32)
+    assert gl["values"][2] == np.float32(0.1)
+    assert gl["values"][3:5] == [2.5, 1200]
+    assert isinstance(gl["values"][5], np.uint64)
+    assert int(gl["values"][5]) == (1 << 63) + 7
+    assert gl["values"][6:] == [-1, True]
+    assert len(gl["features"]) == len(layer.features)
+    for fin, fout in zip(layer.features, gl["features"]):
+        assert fout["id"] == (fin.id if fin.HasField("id") else None)
+        assert fout["tags"] == list(fin.tags)
+        assert fout["type"] == fin.type
+        assert fout["geometry"] == list(fin.geometry)
+
+    back = Tile()
+    back.ParseFromString(mvt.encode_tile(got))
+    assert back == msg
